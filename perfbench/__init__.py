@@ -1,0 +1,1 @@
+"""LS3DF benchmark harness; run it with ``python3 perfbench/run.py``."""
