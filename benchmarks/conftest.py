@@ -3,11 +3,15 @@
 Each ``test_bench_*`` module regenerates one table or figure of the paper:
 it runs the corresponding experiment (performance model or real model-scale
 calculation), prints the same rows/series the paper reports, stores them as
-JSON under ``benchmarks/results/`` and asserts the qualitative shape
-(who wins, by roughly what factor, where crossovers fall).
+JSON and asserts the qualitative shape (who wins, by roughly what factor,
+where crossovers fall).
 
 Run with ``pytest benchmarks/ --benchmark-only`` (pytest-benchmark) or plain
 ``pytest benchmarks/`` to execute the experiments without timing overhead.
+By default the JSON goes to a per-session temporary directory, so a test
+run leaves the tracked files alone; pass ``--update-results`` to rewrite
+the tracked ``benchmarks/results/*.json`` (the option is registered in the
+root ``conftest.py``, so it also works when pytest runs from the repo root).
 """
 
 from __future__ import annotations
@@ -23,7 +27,9 @@ RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
 
 @pytest.fixture(scope="session")
-def results_dir() -> Path:
+def results_dir(request, tmp_path_factory) -> Path:
+    if not request.config.getoption("--update-results"):
+        return tmp_path_factory.mktemp("results")
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     return RESULTS_DIR
 

@@ -65,7 +65,7 @@ def real_strong_scaling(max_workers: int) -> None:
     print("\n=== Real LS3DF strong scaling (pluggable fragment backends) ===")
     structure = cscl_binary((2, 2, 1), "Zn", "Se", 6.5)
 
-    def run_with(executor, pipeline=False):
+    def run_with(executor):
         scf = LS3DFSCF(
             structure,
             grid_dims=(2, 2, 1),
@@ -74,7 +74,6 @@ def real_strong_scaling(max_workers: int) -> None:
             n_empty=2,
             mixer="kerker",
             executor=executor,
-            pipeline=pipeline,
         )
         result = scf.run(
             max_iterations=3,
@@ -84,28 +83,25 @@ def real_strong_scaling(max_workers: int) -> None:
         )
         return scf, result
 
-    backends = [("serial", 1, False, SerialFragmentExecutor()),
-                ("serial+pipeline", 1, True, SerialFragmentExecutor())]
+    backends = [("serial", 1, SerialFragmentExecutor())]
     for workers in sorted({2, max_workers} if max_workers > 1 else set()):
-        backends.append((f"threads x{workers}", workers, False,
+        backends.append((f"threads x{workers}", workers,
                          ThreadPoolFragmentExecutor(n_workers=workers)))
-        backends.append((f"processes x{workers}", workers, False,
-                         ProcessPoolFragmentExecutor(n_workers=workers)))
-        backends.append((f"processes x{workers}+pipeline", workers, True,
+        backends.append((f"processes x{workers}", workers,
                          ProcessPoolFragmentExecutor(n_workers=workers)))
 
     scheduler = FragmentScheduler()
     rows = []
     baseline_wall = None
-    for name, workers, pipeline, executor in backends:
-        scf, result = run_with(executor, pipeline)
+    for name, workers, executor in backends:
+        scf, result = run_with(executor)
         if hasattr(executor, "close"):
             executor.close()
         petot_wall = sum(t.petot_f for t in result.timings)
         petot_cpu = sum(t.petot_f_cpu for t in result.timings)
         # Measured Amdahl alpha of the last (warm) iteration: driver-side
         # serial time vs. summed per-fragment time.  The fused pipeline
-        # moves the Gen_VF/Gen_dens loops out of the serial part.
+        # keeps the per-fragment Gen_VF/Gen_dens work out of the serial part.
         alpha = result.timings[-1].measured_serial_fraction
         if baseline_wall is None:
             baseline_wall = petot_wall
@@ -161,7 +157,6 @@ def band_group_study(max_workers: int) -> None:
             n_empty=2,
             mixer="kerker",
             executor=executor,
-            pipeline=band_groups is None,
             band_groups=band_groups,
         )
         result = scf.run(

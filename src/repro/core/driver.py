@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.atoms.structure import Structure
-from repro.core.fragment_task import FragmentExecutor
+from repro.core.fragment_task import PipelineFragmentExecutor
 from repro.core.scf import LS3DFResult, LS3DFSCF
 from repro.pw.basis import PlaneWaveBasis
 from repro.pw.eigensolver import EigensolverResult, all_band_cg
@@ -68,17 +68,14 @@ class LS3DF:
         Model pseudopotential set.
     executor:
         Fragment-execution backend (see
-        :class:`~repro.core.fragment_task.FragmentExecutor`); defaults to
-        the serial in-process backend.  Pass e.g.
+        :class:`~repro.core.fragment_task.PipelineFragmentExecutor`);
+        defaults to the serial in-process backend.  Pass e.g.
         ``ProcessPoolFragmentExecutor(n_workers=4)`` from
         :mod:`repro.parallel.executor` to solve fragments concurrently.
+        Every fragment runs as one fused Gen_VF -> solve -> Gen_dens task
+        per iteration (see :class:`repro.core.scf.LS3DFSCF`).
     pipeline:
-        When True, run every fragment as one fused
-        Gen_VF -> solve -> Gen_dens task per iteration instead of serial
-        driver loops around the solves (see
-        :class:`repro.core.scf.LS3DFSCF`); all shipped executors support
-        it.  Default False (the serial data path, byte-identical results
-        to the seed).
+        Deprecated and ignored (see :class:`repro.core.scf.LS3DFSCF`).
     genpot_shards:
         Distribute the GENPOT global steps (Poisson, XC, mixing) over
         this many 1D z-slabs pushed through ``executor`` — the paper's
@@ -106,8 +103,8 @@ class LS3DF:
         grid_dims,
         ecut: float = 4.0,
         pseudopotentials: PseudopotentialSet | None = None,
-        executor: FragmentExecutor | None = None,
-        pipeline: bool = False,
+        executor: PipelineFragmentExecutor | None = None,
+        pipeline: bool = True,
         genpot_shards: int | None = None,
         band_groups: int | None = None,
         **kwargs,
@@ -128,14 +125,9 @@ class LS3DF:
         self.ecut = float(ecut)
 
     @property
-    def executor(self) -> FragmentExecutor:
+    def executor(self) -> PipelineFragmentExecutor:
         """The fragment-execution backend used by the SCF loop."""
         return self.scf.executor
-
-    @property
-    def pipeline(self) -> bool:
-        """Whether the SCF loop runs fused fragment pipeline tasks."""
-        return self.scf.pipeline
 
     @property
     def genpot_shards(self) -> int:
@@ -146,11 +138,6 @@ class LS3DF:
     def band_groups(self) -> int | None:
         """Band slices per fragment solve (``None`` = ungrouped PEtot_F)."""
         return self.scf.band_groups
-
-    @property
-    def concurrent_groups(self) -> bool:
-        """Whether band groups run on concurrent per-group worker sub-pools."""
-        return self.scf.concurrent_groups
 
     # -- convenience accessors ------------------------------------------------
     @property

@@ -302,8 +302,9 @@ class FragmentSolver:
     ) -> FragmentTask:
         """Picklable solve task for one fragment and one input potential.
 
-        This is what :class:`repro.core.scf.LS3DFSCF` hands to its
-        execution backend every outer iteration.
+        The single-solve counterpart of :meth:`make_pipeline_task`, for
+        driving :func:`repro.core.fragment_task.solve_fragment_task` (or
+        an executor's plain ``run``) directly with a restricted potential.
         """
         problem = self.build_problem(fragment)
         v_screen = self.fragment_screening_potential(problem, restricted_potential)
@@ -332,9 +333,8 @@ class FragmentSolver:
         correction, and the worker performs the restriction, the solve and
         the weighted-interior extraction itself
         (:func:`repro.core.fragment_task.run_fragment_pipeline_task`).
-        This is what :class:`repro.core.scf.LS3DFSCF` hands to a
-        pipeline-capable backend every outer iteration when
-        ``pipeline=True``.
+        This is what :class:`repro.core.scf.LS3DFSCF` hands to its
+        backend every outer iteration.
 
         With ``global_potential_key`` set (the PR 6 install channel) the
         task references the potential by fingerprint instead of carrying

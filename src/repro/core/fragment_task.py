@@ -515,22 +515,18 @@ def solve_fragment_task(
 class FragmentPipelineTask:
     """Fused Gen_VF -> PEtot_F -> Gen_dens unit of work for one fragment.
 
-    The plain :class:`FragmentTask` covers only the Kohn-Sham solve; the
-    driver then still owns two serial per-fragment loops (the Gen_VF
-    restriction before the solve, the Gen_dens interior extraction after
-    it).  This task fuses all three per-fragment steps into one picklable
+    The plain :class:`FragmentTask` covers only the Kohn-Sham solve.
+    This task fuses all three per-fragment steps into one picklable
     description, so a pool worker receives the global input potential plus
     index maps, performs restrict -> solve -> weighted-interior extraction
     locally, and ships back a single result — one round trip per fragment
-    per SCF iteration instead of a solve round trip sandwiched between two
-    driver-side loops.
+    per SCF iteration, with no serial per-fragment loop left on the
+    driver.
 
-    IPC trade-off (process pools): each submission pickles the *global*
-    potential instead of the box-sized restriction the unfused path ships,
-    buying the driver out of the serial per-fragment Gen_VF loop at the
-    price of larger submissions.  At the scales this reproduction runs the
-    loop is the bottleneck, not the bytes; the production code avoids both
-    by point-to-point isend/irecv of box-sized pieces.
+    IPC (process pools): the worker needs the *global* potential, not a
+    box-sized restriction; it is installed once per worker per iteration
+    and tasks reference it by ``global_potential_key``.  The production
+    code sends box-sized pieces point to point (isend/irecv) instead.
 
     Attributes
     ----------
@@ -721,13 +717,12 @@ def run_fragment_pipeline_task(
        input potential and subtract the fixed passivation correction;
     2. **PEtot_F** — run the shared solve kernel
        (:func:`solve_fragment_task`, same static-problem cache and warm
-       starts as the unfused path);
+       starts as a plain solve task);
     3. **Gen_dens** — extract the region interior of the solved density
        and apply the fragment's charge-conserving alpha weight.
 
-    The arithmetic matches the driver-side unfused path operation for
-    operation, so fused and unfused runs differ only in where (and in what
-    summation grouping) the global density is reduced.
+    The arithmetic matches a driver-side restriction followed by
+    :func:`solve_fragment_task` operation for operation.
 
     Parameters
     ----------
@@ -841,8 +836,6 @@ def solve_fragment_task_grouped(
     executor,
     band_slices: int,
     problem: TaskProblem | None = None,
-    install_potentials: bool = True,
-    sliced_nonlocal: bool = True,
 ):
     """Solve one fragment with its band block distributed over a group.
 
@@ -874,14 +867,6 @@ def solve_fragment_task_grouped(
         cores per fragment group.
     problem:
         Optional pre-built static problem, bypassing the cache lookup.
-    install_potentials:
-        Install the screening potential once per worker and reference it
-        by key from every band slice (PR 6); ``False`` ships the array
-        in every task as before.  Bit-identical either way.
-    sliced_nonlocal:
-        Apply the Kleinman-Bylander term inside band slices via the
-        blocked fixed-shape kernel (PR 6); ``False`` keeps it on the
-        group root.  Bit-identical either way.
 
     Returns
     -------
@@ -909,14 +894,7 @@ def solve_fragment_task_grouped(
     # problem for the duration; see run_band_block_task).
     with problem.lock:
         hamiltonian.set_effective_potential(v_screen)
-        group = BandGroup(
-            executor,
-            band_slices,
-            task,
-            problem=problem,
-            install=install_potentials,
-            sliced_nonlocal=sliced_nonlocal,
-        )
+        group = BandGroup(executor, band_slices, task)
         result = all_band_solver(
             hamiltonian,
             problem.nbands,
@@ -956,8 +934,6 @@ def run_fragment_pipeline_task_grouped(
     executor,
     band_slices: int,
     problem: TaskProblem | None = None,
-    install_potentials: bool = True,
-    sliced_nonlocal: bool = True,
 ):
     """Execute one fused fragment pipeline with a band-sliced solve.
 
@@ -980,9 +956,6 @@ def run_fragment_pipeline_task_grouped(
         Number of band slices per solve.
     problem:
         Optional pre-built static problem forwarded to the solve.
-    install_potentials, sliced_nonlocal:
-        Forwarded to :func:`solve_fragment_task_grouped` (PR 6 knobs;
-        bit-identical on or off).
 
     Returns
     -------
@@ -1000,12 +973,7 @@ def run_fragment_pipeline_task_grouped(
     task.screening_potential = v_screen
     gen_vf_time = time.perf_counter() - t0
     result, stats = solve_fragment_task_grouped(
-        task,
-        executor,
-        band_slices,
-        problem=problem,
-        install_potentials=install_potentials,
-        sliced_nonlocal=sliced_nonlocal,
+        task, executor, band_slices, problem=problem
     )
     t0 = time.perf_counter()
     interior = result.density[pipeline_task.interior_slice]
@@ -1141,8 +1109,9 @@ class FragmentExecutor(Protocol):
 class PipelineFragmentExecutor(FragmentExecutor, Protocol):
     """A backend that additionally runs fused fragment pipeline tasks.
 
-    All backends shipped in :mod:`repro.parallel.executor` implement this;
-    :class:`repro.core.scf.LS3DFSCF` requires it when ``pipeline=True``.
+    All backends shipped in :mod:`repro.parallel.executor` and
+    :mod:`repro.parallel.remote` implement this;
+    :class:`repro.core.scf.LS3DFSCF` requires it.
     """
 
     def run_pipeline(
@@ -1160,6 +1129,23 @@ class PipelineFragmentExecutor(FragmentExecutor, Protocol):
         ExecutionReport
             With ``results`` (:class:`FragmentPipelineResult`) in task
             order.
+        """
+        ...
+
+    def submit_pipeline_batch(self, tasks: Sequence[FragmentPipelineTask]) -> list:
+        """Submit a batch of fused tasks; one future per task.
+
+        Parameters
+        ----------
+        tasks:
+            One :class:`FragmentPipelineTask` per fragment.
+
+        Returns
+        -------
+        list
+            Futures in task order, each resolving to that task's
+            :class:`FragmentPipelineResult` — the surface
+            :class:`repro.core.scf.LS3DFSCF` consumes in fragment order.
         """
         ...
 

@@ -1,29 +1,22 @@
 """The LS3DF outer self-consistent loop (Figure 2 of the paper).
 
 Every iteration performs the four steps Gen_VF -> PEtot_F -> Gen_dens ->
-GENPOT.  Fragment solves are independent of each other — the property the
-paper exploits for near-perfect parallel scaling — so PEtot_F is executed
-through a pluggable backend implementing the
-:class:`repro.core.fragment_task.FragmentExecutor` protocol: the serial
-default, a thread pool, or a process pool
-(:mod:`repro.parallel.executor`).  The loop itself only builds picklable
-fragment tasks and consumes their results; it never cares *where* a
+GENPOT.  In the paper all three per-fragment steps are embarrassingly
+parallel, not just the solves; only the small GENPOT Poisson solve is
+serial.  The loop reproduces that with one data path: Gen_VF, the
+Kohn-Sham solve and the Gen_dens contribution of each fragment are fused
+into one :class:`~repro.core.fragment_task.FragmentPipelineTask` (a
+single executor round trip), submitted through the backend's
+``submit_pipeline_batch`` futures surface, and the global density is
+assembled by a deterministic chunked tree-reduce that consumes the
+fragment futures in fragment order while the batch tail still drains.
+The driver's remaining serial work per iteration is task building, the
+reduce and GENPOT.  Backends implement the
+:class:`repro.core.fragment_task.PipelineFragmentExecutor` protocol — the
+serial default, a thread pool, a process pool
+(:mod:`repro.parallel.executor`) or remote workers
+(:mod:`repro.parallel.remote`) — and the loop never cares *where* a
 fragment was solved.
-
-In the paper *all three* per-fragment steps are embarrassingly parallel,
-not just the solves; only the small GENPOT Poisson solve is serial.  The
-``pipeline=True`` mode reproduces that: Gen_VF, the solve and the
-Gen_dens contribution are fused into one
-:class:`~repro.core.fragment_task.FragmentPipelineTask` per fragment (a
-single executor round trip), and the global density is assembled by a
-deterministic chunked tree-reduce — the driver's remaining serial work
-per iteration is task building, the reduce and GENPOT.  The default
-``pipeline=False`` path produces byte-identical *results* to the seed;
-only its timing attribution moved (task building — restriction plus
-screening-potential assembly, i.e. the paper's Gen_VF — is now timed
-under ``gen_vf`` instead of inflating the ``petot_f`` wall time, and the
-fixed passivation potential is cached across iterations instead of
-rebuilt).
 
 The paper's parallelism is two-level: fragments go to processor
 *groups*, and the Np cores inside a group distribute one fragment's
@@ -31,8 +24,8 @@ all-band CG among themselves.  ``band_groups=`` reproduces the second
 level: each fragment's solve is band-sliced over the executor's workers
 (:mod:`repro.parallel.bands`), with the driver as group root — so a
 single huge fragment no longer bounds the PEtot_F wall time — while
-results stay bit-identical to the single-worker paths for any slice
-count and backend.
+results stay bit-identical to the ungrouped path for any slice count and
+backend.
 
 Long runs can be checkpointed and resumed (``checkpoint_dir=`` /
 ``checkpoint_every=`` / ``resume=`` on :meth:`LS3DFSCF.run`): the
@@ -49,6 +42,7 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -59,7 +53,6 @@ from repro.atoms.structure import Structure
 from repro.core.division import SpatialDivision
 from repro.core.fragment_solver import FragmentSolveResult, FragmentSolver
 from repro.core.fragment_task import (
-    FragmentExecutor,
     FragmentPipelineResult,
     FragmentStateCache,
     PipelineFragmentExecutor,
@@ -68,11 +61,10 @@ from repro.core.fragment_task import (
 )
 from repro.core.fragments import Fragment, enumerate_fragments
 from repro.core.genpot import GlobalPotentialSolver
-from repro.core.patching import (
-    patch_contributions,
-    patch_fragment_fields,
-    restrict_to_fragment,
-)
+from repro.core.patching import patch_contributions
+# Unused here; kept importable as ``repro.core.scf.patch_fragment_fields``
+# because the traced benchmark run (``perfbench --trace 1``) wraps it.
+from repro.core.patching import patch_fragment_fields  # noqa: F401
 from repro.io.checkpoint import (
     SCFCheckpoint,
     clear_partial_payloads,
@@ -95,24 +87,21 @@ class IterationTimings:
     solve time (in fragment order), so real speedups and parallel
     efficiencies can be measured instead of modelled.
 
-    With the fused fragment pipeline (``pipeline`` True) the Gen_VF
-    restriction and the Gen_dens interior extraction run *inside* the
-    per-fragment tasks: their in-worker times land in
+    The Gen_VF restriction and the Gen_dens interior extraction run
+    *inside* the fused per-fragment tasks: their in-worker times land in
     ``gen_vf_fragments`` / ``gen_dens_fragments`` (and inside
-    ``petot_f_fragments``, which then times the whole fused step), while
-    the driver-side ``gen_vf`` / ``gen_dens`` shrink to task building and
-    the chunked tree-reduce.  ``serial_time`` / ``measured_serial_fraction``
-    expose how much of the iteration actually remained serial — the
-    measured counterpart of the paper's Amdahl fit (compare
-    :func:`repro.parallel.amdahl.serial_fraction_history`).
+    ``petot_f_fragments``, which times the whole fused step), while the
+    driver-side ``gen_vf`` shrinks to task building.  ``serial_time`` /
+    ``measured_serial_fraction`` expose how much of the iteration actually
+    remained serial — the measured counterpart of the paper's Amdahl fit
+    (compare :func:`repro.parallel.amdahl.serial_fraction_history`).
 
-    With the overlapped pipeline reduce (``overlap`` True — the default
-    whenever the executor offers ``submit_pipeline_batch``) the driver
-    consumes fragment futures in fragment order while the batch tail is
-    still draining: ``overlap_wait`` / ``overlap_busy`` split that loop
-    into blocked-on-workers versus useful reduce work (see
-    ``overlap_occupancy``), and ``gen_dens`` shrinks to the residue left
-    *after* the last fragment landed.
+    On the ungrouped path the driver consumes fragment futures in
+    fragment order while the batch tail is still draining, so the
+    chunked tree-reduce runs inside ``petot_f``: ``overlap_wait`` /
+    ``overlap_busy`` split that loop into blocked-on-workers versus
+    useful reduce work (see ``overlap_occupancy``), and ``gen_dens``
+    shrinks to the residue left *after* the last fragment landed.
 
     ``genpot_poisson`` / ``genpot_xc`` / ``genpot_mix`` break the GENPOT
     wall time down into its three global steps.  With ``genpot_shards >
@@ -144,8 +133,8 @@ class IterationTimings:
     ``band_schedule`` carries a
     :class:`repro.parallel.scheduler.GroupExecutionRecord`: the LPT
     plan over group-sized bins *plus* the measured wall time of every
-    group bin and of the whole step.  With ``concurrent_groups`` (and an
-    executor whose ``partition`` can split its workers) the Ng groups
+    group bin and of the whole step.  When the executor's ``partition``
+    can split its workers into more than one group, the Ng groups
     run on disjoint sub-pools from concurrent driver threads, so the
     record's ``concurrent`` flag is set and ``measured_makespan`` /
     ``concurrency_efficiency`` describe a genuinely overlapped
@@ -170,8 +159,6 @@ class IterationTimings:
     petot_f_workers: int = 1
     gen_vf_fragments: list[float] = field(default_factory=list)
     gen_dens_fragments: list[float] = field(default_factory=list)
-    pipeline: bool = False
-    overlap: bool = False
     overlap_wait: float = 0.0
     overlap_busy: float = 0.0
     genpot_poisson: float = 0.0
@@ -220,12 +207,11 @@ class IterationTimings:
     def overlap_occupancy(self) -> float:
         """Useful fraction of the overlapped Gen_dens reduce's driver loop.
 
-        With the overlapped pipeline reduce (``overlap`` True) the driver
-        consumes fragment futures in order while the batch tail drains:
-        ``overlap_busy`` seconds went into the chunked tree-reduce under
-        still-running workers and ``overlap_wait`` seconds were spent
-        blocked on the next future.  This is their ratio — 0.0 when the
-        overlapped path did not run.
+        The driver consumes fragment futures in order while the batch
+        tail drains: ``overlap_busy`` seconds went into the chunked
+        tree-reduce under still-running workers and ``overlap_wait``
+        seconds were spent blocked on the next future.  This is their
+        ratio — 0.0 on the band-grouped path, which reduces afterwards.
         """
         denom = self.overlap_busy + self.overlap_wait
         return self.overlap_busy / denom if denom > 0 else 0.0
@@ -272,9 +258,9 @@ class IterationTimings:
     def serial_time(self) -> float:
         """Driver-side unparallelised time of the iteration.
 
-        The Gen_VF and Gen_dens entries time serial per-fragment driver
-        loops on the unfused path but only task building plus the chunked
-        tree-reduce on the pipeline path.  GENPOT is serial on the
+        The Gen_VF and Gen_dens entries time only the driver's task
+        building and result consumption (plus the chunked tree-reduce on
+        the band-grouped path).  GENPOT is serial on the
         default path; with ``genpot_shards > 1`` the per-slab Poisson/XC/
         mixing work moves to the executor (parallel bucket) and only the
         driver residue — layout conversion, scalar reductions, task
@@ -403,29 +389,28 @@ class LS3DFSCF:
         Fragment surface passivation options.
     executor:
         Fragment-execution backend implementing the
-        :class:`~repro.core.fragment_task.FragmentExecutor` protocol; the
-        default :class:`~repro.parallel.executor.SerialFragmentExecutor`
-        solves fragments one after another in-process.  Pass a
+        :class:`~repro.core.fragment_task.PipelineFragmentExecutor`
+        protocol; the default
+        :class:`~repro.parallel.executor.SerialFragmentExecutor` solves
+        fragments one after another in-process.  Pass a
         :class:`~repro.parallel.executor.ThreadPoolFragmentExecutor` or
         :class:`~repro.parallel.executor.ProcessPoolFragmentExecutor` to
-        solve the independent fragment problems concurrently.
-    pipeline:
-        When True, fuse Gen_VF -> PEtot_F -> Gen_dens into one
+        solve the independent fragment problems concurrently.  Every
+        iteration submits one fused
         :class:`~repro.core.fragment_task.FragmentPipelineTask` per
-        fragment per iteration: the serial per-fragment driver loops
-        disappear (the restriction and the weighted-interior extraction
-        run inside the workers, one round trip per fragment) and the
-        global density is assembled by a deterministic chunked
-        tree-reduce.  Requires an executor with a ``run_pipeline`` method
-        (all backends in :mod:`repro.parallel.executor` have one).  The
-        default False keeps the seed serial data path (byte-identical
-        results; see the module docstring for the timing-attribution
-        changes).
+        fragment (restriction, solve and weighted-interior extraction in
+        one round trip) and tree-reduces the contributions as their
+        futures resolve.  When the executor has ``install_state``, the
+        iteration's input potential is installed once per worker and the
+        tasks carry only its fingerprint key.
+    pipeline:
+        Deprecated and ignored: the fused pipeline is the only data
+        path.  Passing ``False`` emits a :class:`DeprecationWarning`.
     patch_chunk_size:
-        Chunk size of the pipeline path's Gen_dens tree-reduce (see
+        Chunk size of the Gen_dens tree-reduce (see
         :func:`repro.core.patching.patch_contributions`).  Fixed by
         fragment order only, so results are independent of the backend
-        and worker count.  Ignored when ``pipeline`` is False.
+        and worker count.
     genpot_shards:
         Number of 1D z-slabs the GENPOT global steps are distributed
         over (the paper's dual fragment/slab data layout).  The default
@@ -438,17 +423,15 @@ class LS3DFSCF:
     genpot_overlap:
         Stream the sharded GENPOT (resident slabs, fused stages, layout
         conversion overlapped with compute; see
-        :mod:`repro.parallel.streaming`) and, on the pipeline paths,
-        consume fragment futures in order while the batch tail drains
-        instead of idling behind the whole batch.  Default on; purely a
+        :mod:`repro.parallel.streaming`).  Default on; purely a
         scheduling choice — iterates are bit-identical with it on or
         off — taking effect only where the executor offers the
-        ``submit_global`` / ``submit_pipeline_batch`` futures surface.
+        ``submit_global`` futures surface.
     band_groups:
         Number of band slices each fragment's all-band CG is distributed
         over — the local analogue of the paper's Np cores *per fragment
-        group*.  The default ``None`` keeps the one-worker-per-fragment
-        paths.  When set, PEtot_F switches to the band-grouped pipeline:
+        group*.  The default ``None`` keeps one worker per fragment.
+        When set, PEtot_F switches to the band-grouped pipeline:
         the driver hands fragments to the executor one group at a time
         (LPT over group-sized bins, heaviest first; see
         :meth:`repro.parallel.scheduler.FragmentScheduler.schedule_grouped`),
@@ -456,41 +439,19 @@ class LS3DFSCF:
         and pushes the per-slice H·psi / residual work through
         ``executor.run_bands`` as
         :class:`~repro.parallel.bands.BandBlockTask` batches —
-        bit-identical results to the ungrouped paths for any slice count
+        bit-identical results to the ungrouped path for any slice count
         and backend, which is what removes the largest-fragment floor on
-        the PEtot_F wall time.  Requires the ``"all_band"`` eigensolver
-        and an executor with ``run_bands`` (all backends in
-        :mod:`repro.parallel.executor`).  With ``checkpoint_dir=`` set
-        on :meth:`run`, completed fragments are additionally persisted
-        *within* each iteration, so a killed run replays only the
-        unfinished ones (see :mod:`repro.io.checkpoint`).
-    install_potentials:
-        Install each iteration's global input potential once per worker
-        through the executor's install channel and ship pipeline (and
-        band-slice) tasks with a fingerprint key instead of the array
-        (PR 6).  Bit-identical on or off; silently falls back to inline
-        shipping when the executor lacks ``install_state``.  Only
-        affects the pipeline / band-grouped paths.
-    sliced_nonlocal:
-        Run the Kleinman-Bylander term inside band slices via the
-        blocked fixed-shape projector kernel instead of on each group
-        root (PR 6).  Bit-identical on or off; only affects the
-        band-grouped path.
-    concurrent_groups:
-        Run the Ng band groups of a ``band_groups`` iteration
-        *concurrently*: the executor's workers are partitioned into one
-        sub-pool per group (``executor.partition``; see
-        :func:`repro.parallel.groups.partition_worker_counts`), each
-        group bin's LPT task queue is drained by its own driver thread
-        acting as that group's root, and
-        ``IterationTimings.band_schedule`` records the measured
-        per-group walls instead of only the modelled decomposition.
-        Bit-identical on or off — fragment results are pure functions
-        of their tasks and the Gen_dens reduce is order-fixed.  Takes
-        effect when the schedule yields more than one group (total
-        workers > ``band_groups``) and the executor supports
-        ``partition``; otherwise the groups run sequentially as before.
-        Default True.
+        the PEtot_F wall time.  When the schedule yields more than one
+        group (total workers > ``band_groups``) and the executor has
+        ``partition``, the groups run concurrently on disjoint worker
+        sub-pools, one driver thread per group root; otherwise they
+        time-share the executor sequentially.  Requires the
+        ``"all_band"`` eigensolver and an executor with ``run_bands``
+        (all backends in :mod:`repro.parallel.executor`).  With
+        ``checkpoint_dir=`` set on :meth:`run`, completed fragments are
+        additionally persisted *within* each iteration, so a killed run
+        replays only the unfinished ones (see
+        :mod:`repro.io.checkpoint`).
     """
 
     def __init__(
@@ -508,16 +469,20 @@ class LS3DFSCF:
         passivate: bool = True,
         polar_passivation: bool = True,
         points_per_bohr: float | None = None,
-        executor: FragmentExecutor | None = None,
-        pipeline: bool = False,
+        executor: PipelineFragmentExecutor | None = None,
+        pipeline: bool = True,
         patch_chunk_size: int = 8,
         genpot_shards: int | None = None,
         genpot_overlap: bool = True,
         band_groups: int | None = None,
-        install_potentials: bool = True,
-        sliced_nonlocal: bool = True,
-        concurrent_groups: bool = True,
     ) -> None:
+        if not pipeline:
+            warnings.warn(
+                "pipeline=False is deprecated and ignored: the fused fragment "
+                "pipeline is the only data path",
+                DeprecationWarning,
+                stacklevel=2,
+            )
         self.structure = structure
         self.grid_dims = tuple(int(m) for m in grid_dims)
         self.pseudopotentials = pseudopotentials or default_pseudopotentials()
@@ -557,13 +522,6 @@ class LS3DFSCF:
         )
         self.genpot_shards = self.genpot.shards
         self.genpot_overlap = self.genpot.overlap
-        self.pipeline = bool(pipeline)
-        if self.pipeline and not isinstance(executor, PipelineFragmentExecutor):
-            raise TypeError(
-                f"pipeline=True needs an executor with run_pipeline(); "
-                f"{type(executor).__name__} only supports plain run() — use a "
-                f"backend from repro.parallel.executor or set pipeline=False"
-            )
         if patch_chunk_size < 1:
             raise ValueError("patch_chunk_size must be positive")
         self.patch_chunk_size = int(patch_chunk_size)
@@ -583,10 +541,13 @@ class LS3DFSCF:
                     f"backend from repro.parallel.executor or set "
                     f"band_groups=None"
                 )
+        if not isinstance(executor, PipelineFragmentExecutor):
+            raise TypeError(
+                f"LS3DFSCF needs a PipelineFragmentExecutor (run_pipeline and "
+                f"submit_pipeline_batch); {type(executor).__name__} is not one — "
+                f"use a backend from repro.parallel.executor"
+            )
         self.executor = executor
-        self.install_potentials = bool(install_potentials)
-        self.sliced_nonlocal = bool(sliced_nonlocal)
-        self.concurrent_groups = bool(concurrent_groups)
         self.state_cache = FragmentStateCache()
         self._last_install_key: str | None = None
 
@@ -638,16 +599,15 @@ class LS3DFSCF:
     ) -> list:
         """One fused pipeline task per fragment (the driver's Gen_VF residue).
 
-        Shared by the pipeline and band-grouped iteration paths so their
+        Shared by the ungrouped and band-grouped iteration paths so their
         task construction — and hence their bit-identity — cannot
-        diverge.  With ``install_potentials`` (and an executor exposing
-        ``install_state``) the iteration's V_in is installed once per
-        worker and the tasks carry only its fingerprint key — the
-        restriction then reads the exact installed bytes, so results are
-        bit-identical to inline shipping.
+        diverge.  When the executor exposes ``install_state`` the
+        iteration's V_in is installed once per worker and the tasks carry
+        only its fingerprint key — the restriction then reads the exact
+        installed bytes, so results are bit-identical to inline shipping.
         """
         potential_key = None
-        if self.install_potentials and hasattr(self.executor, "install_state"):
+        if hasattr(self.executor, "install_state"):
             potential_key = potential_fingerprint(v_in)
             self.executor.install_state(potential_key, v_in)
         self._last_install_key = potential_key
@@ -663,31 +623,31 @@ class LS3DFSCF:
             for f in self.fragments
         ]
 
-    def _reduce_pipeline_results(
-        self, results: Sequence
-    ) -> tuple[np.ndarray, list[FragmentSolveResult]]:
-        """Consume pipeline results: cache update, conversion, tree-reduce.
+    def _reduce_contributions(self, contributions) -> np.ndarray:
+        """Chunked tree sum of ``(fragment, contribution)`` pairs.
 
-        The driver-side Gen_dens residue shared by the pipeline and
-        band-grouped paths: store warm starts, attach fragments to the
-        kernel results, and assemble the global density with the
-        deterministic chunked tree sum (scatter maps come from the
-        division — no index arrays ride on results).
+        The pairs must arrive in fragment order: the chunking by
+        ``patch_chunk_size`` then fixes the summation tree, so every
+        density bit is independent of the backend and of the order in
+        which workers finish.  Scatter maps come from the division — no
+        index arrays ride on results.
         """
-        self.state_cache.update([p.result for p in results])
-        frag_results = [
-            FragmentSolver.result_from_task(f, p.result)
-            for f, p in zip(self.fragments, results)
-        ]
-        density = patch_contributions(
+        return patch_contributions(
             self.global_grid.shape,
             (
-                (self.division.global_indices(f, interior_only=True), p.contribution)
-                for f, p in zip(self.fragments, results)
+                (self.division.global_indices(f, interior_only=True), c)
+                for f, c in contributions
             ),
             chunk_size=self.patch_chunk_size,
         )
-        return density, frag_results
+
+    def _consume_results(self, results: Sequence) -> list[FragmentSolveResult]:
+        """Store warm starts and attach fragments to the kernel results."""
+        self.state_cache.update([p.result for p in results])
+        return [
+            FragmentSolver.result_from_task(f, p.result)
+            for f, p in zip(self.fragments, results)
+        ]
 
     def _run_pipeline_iteration(
         self,
@@ -702,13 +662,12 @@ class LS3DFSCF:
         :class:`~repro.core.fragment_task.FragmentPipelineTask` — one
         executor submission per fragment per iteration — whose worker
         performs the restriction, the Kohn-Sham solve and the
-        weighted-interior extraction.  The driver only builds tasks
-        (timed as ``gen_vf``) and reduces the returned contributions with
-        the deterministic chunked tree sum (timed as ``gen_dens``), so
-        the per-fragment serial loops of the unfused path vanish from the
-        driver's serial time.
+        weighted-interior extraction.  The driver builds the tasks (timed
+        as ``gen_vf``) and then, instead of idling until the whole batch
+        returns, consumes the per-fragment futures of
+        ``submit_pipeline_batch`` in fragment order, feeding each
+        contribution to the chunked tree-reduce as soon as it lands.
         """
-        t.pipeline = True
         # --- Gen_VF (driver residue): build one fused task per fragment.
         t0 = time.perf_counter()
         tasks = self._build_pipeline_tasks(
@@ -716,85 +675,38 @@ class LS3DFSCF:
         )
         t.gen_vf = time.perf_counter() - t0
 
-        if self.genpot_overlap and hasattr(self.executor, "submit_pipeline_batch"):
-            return self._run_overlapped_pipeline_batch(tasks, t)
-
-        # --- PEtot_F (fused): restrict + solve + contribute per worker.
-        t0 = time.perf_counter()
-        report = self.executor.run_pipeline(tasks)
-        t.petot_f = time.perf_counter() - t0
-        t.petot_f_fragments = [p.wall_time for p in report.results]
-        t.petot_f_workers = report.worker_count
-        t.gen_vf_fragments = [p.gen_vf_time for p in report.results]
-        t.gen_dens_fragments = [p.gen_dens_time for p in report.results]
-
-        # --- Gen_dens (driver residue): consume the results and chunked-
-        # tree-reduce the pre-weighted contributions the workers shipped
-        # back.  Cache update and conversion are serial driver work and
-        # belong in this bucket, not in the PEtot_F wall time.
-        t0 = time.perf_counter()
-        density, frag_results = self._reduce_pipeline_results(report.results)
-        t.gen_dens = time.perf_counter() - t0
-        return density, frag_results
-
-    def _run_overlapped_pipeline_batch(
-        self, tasks: list, t: IterationTimings
-    ) -> tuple[np.ndarray, list[FragmentSolveResult]]:
-        """Consume a pipeline batch future-by-future, reducing under the tail.
-
-        The physical submissions are the same heaviest-first (optionally
-        stacked) units as :meth:`run_pipeline
-        <repro.parallel.executor._PoolFragmentExecutor.run_pipeline>` —
-        only the driver's schedule changes: instead of idling until the
-        whole batch returns, the chunked tree-reduce of Gen_dens consumes
-        each fragment's future as soon as it resolves.  The reduce walks
-        fragments in fragment order with the same ``patch_chunk_size``
-        chunking, so the summation tree — and hence every density bit —
-        matches the synchronous path exactly.
-        """
-        t.overlap = True
+        # --- PEtot_F (fused): restrict + solve + contribute per worker,
+        # with the Gen_dens tree-reduce running under the batch tail.
         t0 = time.perf_counter()
         futures = self.executor.submit_pipeline_batch(tasks)
-        results: list = [None] * len(tasks)
-        wait = [0.0]
+        results: list[FragmentPipelineResult] = []
+        wait = 0.0
 
         def ordered_contributions():
-            for i, future in enumerate(futures):
+            nonlocal wait
+            for fragment, future in zip(self.fragments, futures):
                 tw = time.perf_counter()
                 p = future.result()
-                wait[0] += time.perf_counter() - tw
-                results[i] = p
-                yield (
-                    self.division.global_indices(
-                        self.fragments[i], interior_only=True
-                    ),
-                    p.contribution,
-                )
+                wait += time.perf_counter() - tw
+                results.append(p)
+                yield fragment, p.contribution
 
-        density = patch_contributions(
-            self.global_grid.shape,
-            ordered_contributions(),
-            chunk_size=self.patch_chunk_size,
-        )
+        density = self._reduce_contributions(ordered_contributions())
         wall = time.perf_counter() - t0
         # The consume loop is PEtot_F as the outer loop sees it; its
         # blocked/busy split is the overlap accounting (the busy part ran
         # under still-working workers and leaves the serial residue).
         t.petot_f = wall
-        t.overlap_wait = wait[0]
-        t.overlap_busy = max(wall - wait[0], 0.0)
+        t.overlap_wait = wait
+        t.overlap_busy = max(wall - wait, 0.0)
         t.petot_f_fragments = [p.wall_time for p in results]
-        t.petot_f_workers = getattr(self.executor, "n_workers", 1)
+        t.petot_f_workers = self.executor.n_workers
         t.gen_vf_fragments = [p.gen_vf_time for p in results]
         t.gen_dens_fragments = [p.gen_dens_time for p in results]
 
         # --- Gen_dens residue: only the post-tail work remains serial.
         t0 = time.perf_counter()
-        self.state_cache.update([p.result for p in results])
-        frag_results = [
-            FragmentSolver.result_from_task(f, p.result)
-            for f, p in zip(self.fragments, results)
-        ]
+        frag_results = self._consume_results(results)
         t.gen_dens = time.perf_counter() - t0
         return density, frag_results
 
@@ -813,8 +725,8 @@ class LS3DFSCF:
         """One band-parallel Gen_VF -> PEtot_F -> Gen_dens lap.
 
         The two-level hierarchy in action: fragments are LPT-assigned to
-        *worker groups* (bins of ``band_groups`` workers).  With
-        ``concurrent_groups`` and a partitionable executor the Ng bins
+        *worker groups* (bins of ``band_groups`` workers).  With more
+        than one group and a partitionable executor the Ng bins
         run genuinely in parallel — each group gets its own worker
         sub-pool (``executor.partition``) and its own driver thread as
         group root, draining that bin's queue heaviest-first — while the
@@ -823,15 +735,14 @@ class LS3DFSCF:
         :class:`~repro.parallel.bands.BandBlockTask` batches.  Without
         partition support (or when the schedule has a single group) the
         bins time-share the executor sequentially, heaviest fragment
-        first, exactly as before.  Either way the measured per-group
+        first.  Either way the measured per-group
         walls land in ``t.band_schedule`` (a
         :class:`~repro.parallel.scheduler.GroupExecutionRecord`).  The
-        data path around the solves is the fused pipeline's (same task
-        construction, same deterministic chunked tree-reduce), and each
-        fragment's grouped solve is a pure function of its task, so
-        results are bit-identical to ``pipeline=True`` runs — and hence
-        to the seed path — for any slice count, backend and group
-        concurrency.
+        data path around the solves is the ungrouped pipeline's (same
+        task construction, same deterministic chunked tree-reduce), and
+        each fragment's grouped solve is a pure function of its task, so
+        results are bit-identical to ungrouped runs for any slice count,
+        backend and group concurrency.
 
         With ``checkpoint_path`` set, every completed fragment's
         :class:`~repro.core.fragment_task.FragmentPipelineResult` is
@@ -843,7 +754,6 @@ class LS3DFSCF:
         unfinished fragments.  A fresh run never replays (its partials
         were wiped up front by :meth:`run`).
         """
-        t.pipeline = True
         t.band_sliced = True
         t.band_slices = self.band_groups
         # --- Gen_VF (driver residue): build one fused task per fragment.
@@ -892,10 +802,8 @@ class LS3DFSCF:
             cores_per_group=self.band_groups,
         )
         ngroups = len(plan.assignments)
-        concurrent = bool(
-            self.concurrent_groups
-            and ngroups > 1
-            and callable(getattr(self.executor, "partition", None))
+        concurrent = ngroups > 1 and callable(
+            getattr(self.executor, "partition", None)
         )
         results: list[FragmentPipelineResult | None] = [None] * len(tasks)
         replayed_indices: set[int] = set()
@@ -921,11 +829,7 @@ class LS3DFSCF:
 
         def _solve_into_group(idx: int, group: int, executor) -> None:
             pres, stats = run_fragment_pipeline_task_grouped(
-                tasks[idx],
-                executor,
-                self.band_groups,
-                install_potentials=self.install_potentials,
-                sliced_nonlocal=self.sliced_nonlocal,
+                tasks[idx], executor, self.band_groups
             )
             results[idx] = pres
             group_stats[group].append(stats)
@@ -1023,9 +927,13 @@ class LS3DFSCF:
             for i, p in enumerate(results)
         ]
 
-        # --- Gen_dens (driver residue): identical to the pipeline path.
+        # --- Gen_dens (driver residue): the same tree-reduce as the
+        # ungrouped path, run after the last group finished.
         t0 = time.perf_counter()
-        density, frag_results = self._reduce_pipeline_results(results)
+        density = self._reduce_contributions(
+            (f, p.contribution) for f, p in zip(self.fragments, results)
+        )
+        frag_results = self._consume_results(results)
         t.gen_dens = time.perf_counter() - t0
         return density, frag_results
 
@@ -1196,51 +1104,10 @@ class LS3DFSCF:
                     division_signature,
                     replay_partials=resume,
                 )
-            elif self.pipeline:
+            else:
                 density, frag_results = self._run_pipeline_iteration(
                     v_in, eigensolver_tolerance, eigensolver_iterations, t
                 )
-            else:
-                # --- Gen_VF: restrict the global potential to every fragment
-                # box and assemble the screening potentials (task building —
-                # the paper's "restrict V_in, add passivation potential").
-                t0 = time.perf_counter()
-                tasks = [
-                    self.fragment_solver.make_task(
-                        f,
-                        restrict_to_fragment(self.division, f, v_in),
-                        eigensolver_tolerance=eigensolver_tolerance,
-                        eigensolver_iterations=eigensolver_iterations,
-                        initial_coefficients=self.state_cache.get(f.label),
-                    )
-                    for f in self.fragments
-                ]
-                t.gen_vf = time.perf_counter() - t0
-
-                # --- PEtot_F: solve every fragment (independent problems)
-                # through the pluggable execution backend.
-                t0 = time.perf_counter()
-                report = self.executor.run(tasks)
-                t.petot_f = time.perf_counter() - t0
-                t.petot_f_fragments = [res.wall_time for res in report.results]
-                t.petot_f_workers = report.worker_count
-
-                # --- Gen_dens: consume the results (warm-start cache,
-                # result conversion) and patch the fragment densities into
-                # the global one — all of it serial driver work, so it is
-                # timed here rather than hiding in the PEtot_F wall time.
-                t0 = time.perf_counter()
-                self.state_cache.update(report.results)
-                frag_results = [
-                    FragmentSolver.result_from_task(f, res)
-                    for f, res in zip(self.fragments, report.results)
-                ]
-                density = patch_fragment_fields(
-                    self.division,
-                    self.fragments,
-                    [res.density for res in frag_results],
-                )
-                t.gen_dens = time.perf_counter() - t0
 
             # --- GENPOT: global Poisson + XC + mixing (slab-distributed
             # through the executor when genpot_shards > 1).

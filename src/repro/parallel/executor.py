@@ -176,7 +176,7 @@ class _HealingFuture:
 class _StackedMemberFuture:
     """One fragment's slice of a stacked pipeline submission.
 
-    The PR 6 small-task stacking packs several fragments into one pool
+    Small-task stacking packs several fragments into one pool
     submission; the streaming consumers want one future per fragment, so
     each member resolves the shared unit future (healing included) and
     picks out its own result.
@@ -355,7 +355,6 @@ class _PoolFragmentExecutor:
         self,
         n_workers: int | None = None,
         nworkers: int | None = None,
-        stack_small_tasks: bool = True,
     ) -> None:
         self.n_workers = _resolve_worker_count(n_workers, nworkers)
         self._pool: Executor | None = None
@@ -369,7 +368,6 @@ class _PoolFragmentExecutor:
         self.pool_submissions = 0
         # Install-channel broadcasts (not counted as pool submissions).
         self.install_broadcasts = 0
-        self.stack_small_tasks = bool(stack_small_tasks)
         # Driver-side copies of installed potentials, for the retry path
         # when a pool worker misses a broadcast (LRU-bounded).  Partition
         # children share the root's store (any group can heal any key)
@@ -408,9 +406,7 @@ class _PoolFragmentExecutor:
 
             cached = []
             for per_group in partition_worker_counts(self.n_workers, ngroups):
-                child = type(self)(
-                    n_workers=per_group, stack_small_tasks=self.stack_small_tasks
-                )
+                child = type(self)(n_workers=per_group)
                 child._counter_root = self._counter_root
                 child._install_payloads = self._install_payloads
                 cached.append(child)
@@ -495,15 +491,13 @@ class _PoolFragmentExecutor:
 
         Each fragment is one *logical* submission: the worker gathers the
         restriction, solves, and extracts the weighted interior in a
-        single round trip (the unfused path needs the same submission plus
-        two driver-side serial loops around it).  With
-        ``stack_small_tasks`` (the default) the small fragments of a
-        mixed batch are LPT-binned into
+        single round trip.  With more than one worker and more than two
+        tasks, the small fragments of a mixed batch are LPT-binned into
         :class:`~repro.core.fragment_task.StackedPipelineTask` stacks, so
         they share pool submissions without touching the logical-task
         accounting or any result bit.
         """
-        if self.stack_small_tasks and self.n_workers > 1 and len(tasks) > 2:
+        if self.n_workers > 1 and len(tasks) > 2:
             groups = pack_stacks([t.cost() for t in tasks], self.n_workers)
             if any(len(g) > 1 for g in groups):
                 return self._execute_stacked(tasks, groups)
@@ -546,9 +540,9 @@ class _PoolFragmentExecutor:
     def submit_pipeline_batch(self, tasks: Sequence) -> list:
         """Per-fragment futures for a pipeline batch (stacking preserved).
 
-        The overlapped Gen_dens reduce consumes fragments in order while
+        The SCF loop's Gen_dens reduce consumes fragments in order while
         the batch tail is still draining; physical submissions are the
-        same heaviest-first (optionally stacked, PR 6) units as
+        same heaviest-first (stacked when small tasks allow) units as
         :meth:`run_pipeline`, so the pool sees an identical schedule —
         only the driver stops idling between the last submit and the
         first reduce.
@@ -557,7 +551,7 @@ class _PoolFragmentExecutor:
             self._bump(len(tasks), len(tasks))
             return [_immediate(t, run_fragment_pipeline_task) for t in tasks]
         groups = [[i] for i in range(len(tasks))]
-        if self.stack_small_tasks and len(tasks) > 2:
+        if len(tasks) > 2:
             packed = pack_stacks([t.cost() for t in tasks], self.n_workers)
             if any(len(g) > 1 for g in packed):
                 groups = packed
@@ -728,9 +722,6 @@ class ProcessPoolFragmentExecutor(_PoolFragmentExecutor):
     n_workers:
         Number of worker processes ("groups"); defaults to the CPU count.
         The legacy spelling ``nworkers`` is also accepted.
-    stack_small_tasks:
-        Bin small pipeline tasks into stacked submissions (PR 6 knob,
-        default on; see :meth:`run_pipeline`).
     """
 
     _broadcast_installs = True

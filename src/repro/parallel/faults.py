@@ -91,8 +91,10 @@ class FlakyWorker(WorkerServer):
 class FlakyExecutor:
     """Wrap a local executor with deterministic driver-side failures.
 
-    Counts the batches flowing through each ``run*`` protocol (one
-    counter across all four) and, at the configured batch indices,
+    Counts the batches flowing through each ``run*`` protocol and each
+    ``submit_*`` futures call (one counter across all six; a
+    ``submit_pipeline_batch`` call is one batch, a ``submit_global``
+    call is one batch of one task) and, at the configured batch indices,
     raises ``error_type`` *instead of* dispatching — the sharpest model
     of a worker group dying between submissions.  ``delay_at`` sleeps
     before dispatching instead.  Everything else (counters, install
@@ -148,6 +150,12 @@ class FlakyExecutor:
             )
 
     # -- executor protocol ---------------------------------------------
+    @property
+    def n_workers(self) -> int:
+        """The wrapped executor's worker count (a protocol member, so it
+        must be visible to ``isinstance`` checks, not only ``__getattr__``)."""
+        return self.inner.n_workers
+
     def run(self, tasks):
         """Dispatch a solve batch unless this batch index is scheduled to fail."""
         self._tick()
@@ -167,6 +175,16 @@ class FlakyExecutor:
         """Dispatch a band-slice batch unless scheduled to fail."""
         self._tick()
         return self.inner.run_bands(tasks)
+
+    def submit_pipeline_batch(self, tasks):
+        """Submit a pipeline batch for futures unless scheduled to fail."""
+        self._tick()
+        return self.inner.submit_pipeline_batch(tasks)
+
+    def submit_global(self, task):
+        """Submit one global-step task for a future unless scheduled to fail."""
+        self._tick()
+        return self.inner.submit_global(task)
 
     def partition(self, ngroups: int):
         """Partition the inner executor, wrapping the chosen children.

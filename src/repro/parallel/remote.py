@@ -605,9 +605,12 @@ class _WorkerHandle:
                 last_error = exc
                 continue
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            sock.settimeout(self.config.request_timeout)
             self.sock = sock
             try:
+                # The socket still carries create_connection's
+                # connect_timeout: a peer that accepts but never answers
+                # the hello must not stall the driver for a whole
+                # request_timeout.
                 reply = self._roundtrip(
                     {"op": "hello", "version": PROTOCOL_VERSION}
                 )
@@ -618,6 +621,7 @@ class _WorkerHandle:
             if not reply.get("ok"):
                 self.close()
                 raise RemoteProtocolError(str(reply.get("error")))
+            sock.settimeout(self.config.request_timeout)
             self.pid = reply.get("pid")
             # A fresh process behind the same address knows no keys.
             self.installed_keys.clear()
@@ -1123,17 +1127,23 @@ class RemoteExecutor:
 
     # -- lifecycle -----------------------------------------------------
     def shutdown_workers(self) -> int:
-        """Send ``shutdown`` to every live worker; returns how many acked."""
+        """Send ``shutdown`` to every live worker; returns how many acked.
+
+        Every handle is marked dead afterwards and counted in
+        ``workers_lost``: a stopped worker may keep its listening socket
+        open without ever answering again, so later batches must go to
+        the local fallback instead of reconnecting.
+        """
         acked = 0
         for handle in self._live_handles():
             try:
                 reply = handle.request({"op": "shutdown"})
             except (OSError, ConnectionError, WorkerDiedError, RemoteProtocolError):
-                handle.mark_dead()
-                continue
+                reply = {}
             if reply.get("ok"):
                 acked += 1
-            handle.close()
+            handle.mark_dead()
+            self._count("workers_lost")
         return acked
 
     def close(self) -> None:

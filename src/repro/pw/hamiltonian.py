@@ -15,7 +15,6 @@ exact-diagonalization reference solver on tiny fragments.
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass, field
 
@@ -27,17 +26,9 @@ from repro.pw.basis import PlaneWaveBasis
 from repro.pw.pseudopotential import PseudopotentialSet
 
 
-def default_nonlocal_block() -> int:
-    """Column-block size of the fixed-shape nonlocal kernel (PR 6).
-
-    ``REPRO_NONLOCAL_BLOCK`` overrides the default of 8; ``0`` disables
-    blocking and restores the seed's single variable-shape GEMM pair
-    (which is *not* row-slice stable — see :meth:`Hamiltonian.add_nonlocal`).
-    """
-    try:
-        return int(os.environ.get("REPRO_NONLOCAL_BLOCK", "8"))
-    except ValueError:
-        return 8
+#: Column-block size of the fixed-shape nonlocal kernel
+#: (see :meth:`Hamiltonian.add_nonlocal`).
+NONLOCAL_BLOCK = 8
 
 
 @dataclass
@@ -116,7 +107,6 @@ class Hamiltonian:
         self.projectors = projectors
         self.projector_strengths = projector_strengths
         self.counter = ApplyCounter()
-        self.nonlocal_block = default_nonlocal_block()
         self._projectors_conj: np.ndarray | None = None
         self._projectors_t: np.ndarray | None = None
         self._default_preconditioner: np.ndarray | None = None
@@ -206,9 +196,9 @@ class Hamiltonian:
     ) -> np.ndarray:
         """Add the nonlocal KB term of a band block to ``out`` (in place).
 
-        Blocked fixed-shape kernel (PR 6).  Bands are pushed through the
-        two projection GEMMs in column blocks of exactly
-        ``self.nonlocal_block`` columns, aligned to the *global* band index
+        Blocked fixed-shape kernel.  Bands are pushed through the two
+        projection GEMMs in column blocks of exactly
+        :data:`NONLOCAL_BLOCK` columns, aligned to the *global* band index
         ``band_offset + i``; columns the call does not own are zero-filled.
         A BLAS GEMM output column depends only on its own input column once
         the operand shapes and the column position are fixed (verified
@@ -217,13 +207,13 @@ class Hamiltonian:
         band's result is bit-identical no matter how the block is sliced
         across workers.  The band-sliced eigensolver therefore runs this
         term inside band slices (``band_offset = slice.lo``) instead of on
-        the group root.  ``nonlocal_block = 0`` restores the seed's single
-        variable-shape GEMM pair, which is *not* row-slice stable.
+        the group root.  A single variable-shape GEMM pair over the whole
+        block would *not* be row-slice stable.
         """
-        if not self.nproj:
-            return out
         c = coefficients
         m = c.shape[0]
+        if not self.nproj or not m:
+            return out
         strengths = self.projector_strengths[:, None]
         if self._projectors_conj is None:
             self._projectors_conj = self.projectors.conj()
@@ -234,26 +224,21 @@ class Hamiltonian:
             # "below numpy" item; measured by tools/profile_hot_paths.py).
             self._projectors_t = np.ascontiguousarray(self.projectors.T)
         projectors_t = self._projectors_t
-        blk = int(self.nonlocal_block or 0)
-        if blk <= 0:
-            beta = self._projectors_conj @ c.T  # (nproj, nbands)
-            out += (projectors_t @ (strengths * beta)).T
-        elif m:
-            npw = self.basis.npw
-            cblk = np.empty((npw, blk), dtype=complex)
-            first = band_offset // blk
-            last = (band_offset + m - 1) // blk
-            for k in range(first, last + 1):
-                g_lo = max(band_offset, k * blk)
-                g_hi = min(band_offset + m, (k + 1) * blk)
-                cols = slice(g_lo - k * blk, g_hi - k * blk)
-                rows = slice(g_lo - band_offset, g_hi - band_offset)
-                if g_hi - g_lo < blk:
-                    cblk.fill(0)
-                cblk[:, cols] = c[rows].T
-                beta = self._projectors_conj @ cblk  # (nproj, blk)
-                nl = projectors_t @ (strengths * beta)  # (npw, blk)
-                out[rows] += nl[:, cols].T
+        blk = NONLOCAL_BLOCK
+        cblk = np.empty((self.basis.npw, blk), dtype=complex)
+        first = band_offset // blk
+        last = (band_offset + m - 1) // blk
+        for k in range(first, last + 1):
+            g_lo = max(band_offset, k * blk)
+            g_hi = min(band_offset + m, (k + 1) * blk)
+            cols = slice(g_lo - k * blk, g_hi - k * blk)
+            rows = slice(g_lo - band_offset, g_hi - band_offset)
+            if g_hi - g_lo < blk:
+                cblk.fill(0)
+            cblk[:, cols] = c[rows].T
+            beta = self._projectors_conj @ cblk  # (nproj, blk)
+            nl = projectors_t @ (strengths * beta)  # (npw, blk)
+            out[rows] += nl[:, cols].T
         self.counter.add(
             n_projector_flops=16.0 * self.nproj * self.basis.npw * m
         )

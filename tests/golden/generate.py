@@ -1,7 +1,7 @@
 """Regenerate the golden-value regression fixtures (ISSUE-2 satellite).
 
-Runs the fixed golden protocol — the *seed-identical* serial LS3DF path —
-on two toy systems and stores total energy, patched quantum energy,
+Runs the fixed golden protocol through the LS3DF driver on two toy
+systems and stores total energy, patched quantum energy,
 per-iteration convergence/energy histories and folded-spectrum band-edge
 eigenvalues as JSON under ``tests/golden/``.
 
@@ -29,9 +29,9 @@ from repro.core.driver import LS3DF  # noqa: E402
 #: The two seed systems and the exact run protocol (fixed forever; the
 #: test re-runs precisely this).  Deliberately small: the fixtures anchor
 #: drift, they do not claim converged physics.  Keep every system at
-#: <= 8 fragments (the default patch_chunk_size): that makes the fused
-#: pipeline bit-compatible with these seed-path fixtures, which
-#: test_golden_regression exploits (and asserts).
+#: <= 8 fragments (the default patch_chunk_size): the Gen_dens tree-reduce
+#: then sums in the sequential order the stored fixtures were generated
+#: with, which test_golden_regression relies on (and asserts).
 SYSTEMS = {
     "zno_2x1x1": dict(cation="Zn", anion="O", lattice=6.0, dims=(2, 1, 1)),
     "gaas_1x1x2": dict(cation="Ga", anion="As", lattice=6.5, dims=(1, 1, 2)),
@@ -51,7 +51,7 @@ PROTOCOL = dict(
 )
 
 
-def run_protocol(name: str, pipeline: bool = False):
+def run_protocol(name: str):
     """One golden run; the regression test calls this too."""
     spec = SYSTEMS[name]
     structure = cscl_binary(spec["dims"], spec["cation"], spec["anion"], spec["lattice"])
@@ -62,7 +62,6 @@ def run_protocol(name: str, pipeline: bool = False):
         buffer_cells=PROTOCOL["buffer_cells"],
         n_empty=PROTOCOL["n_empty"],
         mixer=PROTOCOL["mixer"],
-        pipeline=pipeline,
     )
     result = ls3df.run(**PROTOCOL["run"])
     states = ls3df.band_edge_states(result, **PROTOCOL["band_edge"])

@@ -121,14 +121,14 @@ def test_band_block_task_pickle_roundtrip():
     task = _make_task()
     block = np.zeros((2, 5), dtype=complex)
     btask = BandBlockTask(
-        kind="apply_local",
+        kind="apply_h",
         bands=band_slices(4, 2)[0],
         template=task,
         block=block,
     )
     clone = pickle.loads(pickle.dumps(btask))
-    assert clone.kind == "apply_local"
-    assert clone.label == btask.label == f"{task.label}:apply_local[0/2]"
+    assert clone.kind == "apply_h"
+    assert clone.label == btask.label == f"{task.label}:apply_h[0/2]"
     assert clone.bands == btask.bands
     assert np.array_equal(clone.block, block)
     assert clone.template.static_fingerprint() == task.static_fingerprint()
@@ -150,9 +150,9 @@ def test_run_band_block_task_rejects_unknown_kind():
 def test_grouped_apply_bit_identical_to_hamiltonian_apply():
     """BandGroup.apply_h == Hamiltonian.apply bit for bit, any slice count.
 
-    The load-bearing decomposition: slices carry the row-independent
-    kinetic + local (FFT) share, the root adds the nonlocal term on the
-    full block with unchanged BLAS shapes.
+    The load-bearing decomposition: every slice computes its rows' full
+    H·psi — the row-independent kinetic + local (FFT) share plus the
+    blocked fixed-shape nonlocal term aligned to global band indices.
     """
     from repro.core.fragment_task import get_task_problem
 
@@ -165,7 +165,7 @@ def test_grouped_apply_bit_identical_to_hamiltonian_apply():
     ref = h.apply(x)
     executor = SerialFragmentExecutor()
     for nslices in (1, 2, 3, nbands):
-        group = BandGroup(executor, nslices, task, problem=problem)
+        group = BandGroup(executor, nslices, task)
         np.testing.assert_array_equal(group.apply_h(x), ref)
         assert group.stats.stages == 1
         assert group.stats.submissions == nslices
@@ -189,7 +189,7 @@ def test_grouped_residual_precond_bit_identical():
     rnorm_ref = np.linalg.norm(r, axis=1)
     executor = SerialFragmentExecutor()
     for nslices in (1, 2, 3, nbands):
-        group = BandGroup(executor, nslices, task, problem=problem)
+        group = BandGroup(executor, nslices, task)
         w, rnorm = group.residual_precond(x, hx, evals)
         np.testing.assert_array_equal(w, w_ref)
         np.testing.assert_array_equal(rnorm, rnorm_ref)
@@ -231,7 +231,7 @@ def test_grouped_all_band_cg_bit_identical_serial(solve_reference):
         tolerance=task.tolerance)
     executor = SerialFragmentExecutor()
     for nslices in (1, 2, 3, problem.nbands):
-        group = BandGroup(executor, nslices, task, problem=problem)
+        group = BandGroup(executor, nslices, task)
         got = all_band_cg(
             h, problem.nbands, max_iterations=task.max_iterations,
             tolerance=task.tolerance, band_groups=group)
@@ -333,7 +333,7 @@ def test_grouped_pipeline_kernel_matches_ungrouped():
 @pytest.fixture(scope="module")
 def pipeline_run():
     """The fused-pipeline reference the grouped path must reproduce."""
-    return _tiny_scf(SerialFragmentExecutor(), pipeline=True).run(**_RUN_KW)
+    return _tiny_scf(SerialFragmentExecutor()).run(**_RUN_KW)
 
 
 def _assert_scf_identical(result, reference):
@@ -368,7 +368,7 @@ def test_scf_band_groups_timings_and_accounting(pipeline_run):
     assert executor.tasks_submitted == sum(
         t.band_stages for t in result.timings) * 2
     for t in result.timings:
-        assert t.band_sliced and t.pipeline
+        assert t.band_sliced
         assert t.band_slices == 2
         assert len(t.band_tasks) == t.band_stages * 2
         assert len(t.petot_f_fragments) == scf.nfragments

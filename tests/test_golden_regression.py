@@ -12,9 +12,11 @@ exceed 1e-10, in which case regenerate once with
 ``PYTHONPATH=src python tests/golden/generate.py`` and commit the new
 fixtures with a note saying the platform changed.
 
-One system runs the seed serial path, the other the fused fragment
-pipeline: both paths are anchored to the *same* seed-generated fixtures,
-so the pipeline cannot drift away from the serial physics unnoticed.
+Both systems run the SCF loop's one data path, the fused fragment
+pipeline.  The fixtures were generated on an older serial path that
+summed the global density sequentially; the pipeline reproduces those
+bits while a system fits in a single Gen_dens reduce chunk, so the
+fixtures stay valid without regeneration.
 """
 
 import json
@@ -37,23 +39,17 @@ def _load(name: str) -> dict:
     return json.loads((GOLDEN_DIR / f"{name}.json").read_text())
 
 
-@pytest.mark.parametrize(
-    "name,pipeline",
-    [("zno_2x1x1", False), ("gaas_1x1x2", True)],
-    ids=["zno-serial-seed-path", "gaas-fused-pipeline"],
-)
-def test_golden_regression(name, pipeline):
+@pytest.mark.parametrize("name", list(SYSTEMS))
+def test_golden_regression(name):
     golden = _load(name)
-    ls3df, result, states = run_protocol(name, pipeline=pipeline)
+    ls3df, result, states = run_protocol(name)
 
-    if pipeline:
-        # The fixtures are generated on the seed serial path.  A pipeline
-        # run matches them at 1e-10 only while the system fits in a single
-        # Gen_dens reduce chunk (nfragments <= patch_chunk_size), which
-        # makes the tree-reduce degenerate to the seed's sequential
-        # summation order.  If a golden system ever grows past the chunk
-        # size, regenerate its fixture with pipeline=True instead.
-        assert ls3df.scf.nfragments <= ls3df.scf.patch_chunk_size
+    # The fixtures were generated with a sequential Gen_dens summation.
+    # The chunked tree-reduce matches that order at 1e-10 only while the
+    # system fits in a single reduce chunk (nfragments <=
+    # patch_chunk_size).  If a golden system ever grows past the chunk
+    # size, regenerate its fixture (and say so in the commit).
+    assert ls3df.scf.nfragments <= ls3df.scf.patch_chunk_size
 
     assert result.iterations == golden["iterations"]
     assert result.converged == golden["converged"]

@@ -14,12 +14,13 @@ actually overlapped.  These tests pin down:
   reference, plus one-submission-per-slice accounting per group;
 * the measured record itself (``concurrent`` flag, per-group walls,
   ``concurrency_efficiency``) and its LPT-plan delegation;
-* the opt-outs: ``concurrent_groups=False`` and a serial executor both
-  fall back to the sequential path, bit-identically;
+* the sequential fallback: a serial executor (one effective group) runs
+  the groups one after another, bit-identically;
 * fault recovery: killing one group mid-iteration with the
   :class:`~repro.parallel.faults.FlakyExecutor` harness loses only that
-  group's fragments — the PR 5 partial-checkpoint replay heals exactly
-  the dead group's work on resume.
+  group's fragments — the partial-checkpoint replay heals exactly the
+  dead group's work on resume — and the harness also intercepts the
+  ``submit_*`` futures surface the ungrouped SCF path runs on.
 """
 
 import numpy as np
@@ -169,7 +170,7 @@ def test_grouped_schedule_is_deterministic_lpt():
 
 @pytest.fixture(scope="module")
 def pipeline_reference():
-    return _tiny_scf(SerialFragmentExecutor(), pipeline=True).run(**_RUN_KW)
+    return _tiny_scf(SerialFragmentExecutor()).run(**_RUN_KW)
 
 
 @pytest.fixture(scope="module")
@@ -215,18 +216,6 @@ def test_concurrent_groups_one_submission_per_slice(grouped_concurrent):
     # Every sliced stage scatters exactly band_groups=2 slice tasks, and
     # nothing else reaches the pool: one submission per slice per stage.
     assert stats["tasks"] == stages * 2
-
-
-def test_concurrent_groups_opt_out(pipeline_reference):
-    pool = ThreadPoolFragmentExecutor(4)
-    try:
-        scf = _tiny_scf(pool, band_groups=2, concurrent_groups=False)
-        assert scf.concurrent_groups is False
-        result = scf.run(**_RUN_KW)
-    finally:
-        pool.close()
-    _assert_scf_identical(result, pipeline_reference)
-    assert all(not t.band_schedule.concurrent for t in result.timings)
 
 
 def test_serial_executor_runs_groups_sequentially(pipeline_reference):
@@ -275,6 +264,27 @@ def test_flaky_executor_kills_at_scheduled_batches():
     with pytest.raises(WorkerDiedError, match="injected fault"):
         flaky.run_pipeline([])  # batch 1: dies
     flaky.run_pipeline([])  # batch 2: healed
+
+
+def test_flaky_executor_intercepts_the_futures_surface():
+    """The default SCF path dispatches through submit_pipeline_batch (and
+    a streamed GENPOT through submit_global); both count as batches, so
+    a fault scheduled on batch 0 fires on a default run."""
+    from repro.parallel.remote import WorkerDiedError
+
+    flaky = FlakyExecutor(SerialFragmentExecutor(), kill_at=(0, 2))
+    with pytest.raises(WorkerDiedError, match="injected fault: batch 0"):
+        flaky.submit_pipeline_batch([])
+    assert flaky.submit_pipeline_batch([]) == []  # batch 1: survives
+    with pytest.raises(WorkerDiedError, match="injected fault: batch 2"):
+        flaky.submit_global(None)
+    assert flaky.batches == 3
+
+    flaky = FlakyExecutor(SerialFragmentExecutor(), kill_at=(0,))
+    with pytest.raises(WorkerDiedError, match="injected fault: batch 0"):
+        _tiny_scf(flaky).run(**_RUN_KW)
+    assert flaky.batches == 1
+    assert flaky.inner.tasks_submitted == 0  # nothing reached the executor
 
 
 def test_flaky_executor_partition_wraps_only_the_doomed_group():

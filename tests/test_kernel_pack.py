@@ -1,14 +1,15 @@
-"""Tests for the PR 6 hot-path kernel pack.
+"""Tests for the hot-path kernel pack.
 
-Four cooperating optimisations, all opt-in-by-default and all required to
-be *bit-identical* to the un-optimised paths:
+Four cooperating optimisations, all required to be *bit-identical* to a
+plain reference computation:
 
 * the :mod:`repro.pw.fftcache` shape-keyed FFT workspace pool (and the
   empirical numpy property it rests on: ``np.fft.*`` write bit-identical
   results into ``out=`` buffers);
 * the blocked fixed-shape nonlocal kernel
-  (:meth:`repro.pw.hamiltonian.Hamiltonian.add_nonlocal`) and the BLAS
-  GEMM content-independence property that makes it row-slice stable;
+  (:meth:`repro.pw.hamiltonian.Hamiltonian.add_nonlocal`), checked
+  against a single-GEMM reference, and the BLAS GEMM
+  content-independence property that makes it row-slice stable;
 * the install-once potential channel (fingerprint-keyed worker state plus
   the executor's resubmit-with-payload self-healing);
 * stacked small-fragment pipeline submissions (``pack_stacks`` binning,
@@ -16,7 +17,8 @@ be *bit-identical* to the un-optimised paths:
 
 Plus the satellite regressions: grid-level memoisation cache hits, the
 Gen_dens accumulator-reuse byte-identity and allocation bounds, and the
-end-to-end backend x knob equivalence matrix through LS3DFSCF.
+end-to-end backend (and FFT-pool on/off) equivalence matrix through
+LS3DFSCF.
 """
 
 import pickle
@@ -58,7 +60,7 @@ from repro.parallel.executor import (
 from repro.parallel.scheduler import pack_stacks
 from repro.pw import fftcache
 from repro.pw.grid import FFTGrid, clear_grid_memo, grid_memo_stats
-from repro.pw.hamiltonian import default_nonlocal_block
+from repro.pw.hamiltonian import NONLOCAL_BLOCK
 
 
 def _bits(a: np.ndarray) -> bytes:
@@ -93,7 +95,6 @@ def _tiny_scf(executor=None, **kwargs) -> LS3DFSCF:
         n_empty=2,
         mixer="kerker",
         executor=executor,
-        pipeline=True,
         **kwargs,
     )
 
@@ -270,7 +271,6 @@ def _fresh_problem(label):
 def test_blocked_nonlocal_row_slice_stable():
     problem = _fresh_problem("nl-sliced")
     h = problem.hamiltonian
-    assert h.nonlocal_block == default_nonlocal_block() > 0
     nbands = problem.nbands
     rng = np.random.default_rng(2)
     block = rng.standard_normal((nbands, h.basis.npw)) + 1j * rng.standard_normal(
@@ -287,27 +287,18 @@ def test_blocked_nonlocal_row_slice_stable():
         assert _bits(np.concatenate(parts, axis=0)) == _bits(full)
 
 
-def test_nonlocal_block_zero_restores_single_gemm(monkeypatch):
-    problem = _fresh_problem("nl-blk0")
+def test_blocked_nonlocal_matches_single_gemm_reference():
+    problem = _fresh_problem("nl-gemm-ref")
     h = problem.hamiltonian
     rng = np.random.default_rng(3)
-    block = rng.standard_normal((problem.nbands, h.basis.npw)) * (1 + 0j)
-    blocked = h.apply_local(block)
-    h.add_nonlocal(blocked, block)
-    h.nonlocal_block = 0
-    fallback = h.apply_local(block)
-    h.add_nonlocal(fallback, block)
+    nbands = NONLOCAL_BLOCK + 3  # one full block plus a zero-padded one
+    block = rng.standard_normal((nbands, h.basis.npw)) * (1 + 0j)
+    blocked = h.add_nonlocal(np.zeros_like(block), block)
+    # Reference: the whole block through one variable-shape GEMM pair.
+    beta = h.projectors.conj() @ block.T  # (nproj, nbands)
+    reference = (h.projectors.T @ (h.projector_strengths[:, None] * beta)).T
     # Different summation order: same physics, not (necessarily) same bits.
-    np.testing.assert_allclose(fallback, blocked, rtol=1e-10, atol=1e-12)
-    # The env knob is read per construction.
-    monkeypatch.setenv("REPRO_NONLOCAL_BLOCK", "0")
-    assert default_nonlocal_block() == 0
-    monkeypatch.setenv("REPRO_NONLOCAL_BLOCK", "5")
-    assert default_nonlocal_block() == 5
-    monkeypatch.setenv("REPRO_NONLOCAL_BLOCK", "garbage")
-    assert default_nonlocal_block() == 8
-    monkeypatch.delenv("REPRO_NONLOCAL_BLOCK")
-    assert default_nonlocal_block() == 8
+    np.testing.assert_allclose(blocked, reference, rtol=1e-10, atol=1e-12)
 
 
 def test_grouped_solve_bit_identical_across_slice_counts():
@@ -497,9 +488,9 @@ def test_stacked_submissions_accounting_and_bit_identity():
         np.testing.assert_array_equal(got.result.density, want.result.density)
         assert got.result.quantum_energy == want.result.quantum_energy
 
-    with ThreadPoolFragmentExecutor(2, stack_small_tasks=False) as ex2:
-        unstacked = ex2.run_pipeline(tasks)
-    assert ex2.pool_submissions == len(tasks)  # knob off: one sub per task
+    with ThreadPoolFragmentExecutor(1) as ex1:
+        unstacked = ex1.run_pipeline(tasks)
+    assert ex1.pool_submissions == len(tasks)  # one worker: never stacked
     for got, want in zip(unstacked.results, report.results):
         np.testing.assert_array_equal(got.contribution, want.contribution)
 
@@ -544,21 +535,14 @@ def test_patch_contributions_recycles_accumulators():
 
 
 # ---------------------------------------------------------------------------
-# End-to-end: backend x knob equivalence matrix
+# End-to-end: backend equivalence matrix
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
 def knob_matrix():
     runs = {}
-    runs["serial-off"] = _tiny_scf(
-        executor=SerialFragmentExecutor(),
-        install_potentials=False,
-        sliced_nonlocal=False,
-    ).run(**_RUN_KW)
-    runs["serial-on"] = _tiny_scf(executor=SerialFragmentExecutor()).run(
-        **_RUN_KW
-    )
+    runs["serial"] = _tiny_scf(executor=SerialFragmentExecutor()).run(**_RUN_KW)
     fftcache.configure(enabled=False)
     try:
         runs["serial-nofftcache"] = _tiny_scf(
@@ -567,13 +551,9 @@ def knob_matrix():
     finally:
         fftcache.configure(enabled=True)
     with ThreadPoolFragmentExecutor(2) as ex:
-        runs["threads-on"] = _tiny_scf(executor=ex).run(**_RUN_KW)
-    with ThreadPoolFragmentExecutor(2, stack_small_tasks=False) as ex:
-        runs["threads-off"] = _tiny_scf(
-            executor=ex, install_potentials=False, sliced_nonlocal=False
-        ).run(**_RUN_KW)
+        runs["threads"] = _tiny_scf(executor=ex).run(**_RUN_KW)
     with ProcessPoolFragmentExecutor(2) as ex:
-        runs["processes-on"] = _tiny_scf(executor=ex).run(**_RUN_KW)
+        runs["processes"] = _tiny_scf(executor=ex).run(**_RUN_KW)
         assert ex.install_broadcasts > 0  # the install fan-out really ran
     from repro.parallel.remote import (
         RemoteExecutor,
@@ -587,7 +567,7 @@ def knob_matrix():
             connect_timeout=2.0, request_timeout=60.0,
             heartbeat_interval=1e9, max_retries=1, backoff=0.01)
         with RemoteExecutor([s.address for s in servers], config=config) as ex:
-            runs["remote-on"] = _tiny_scf(executor=ex).run(**_RUN_KW)
+            runs["remote"] = _tiny_scf(executor=ex).run(**_RUN_KW)
             # The fingerprint install channel crossed the wire, once per
             # worker per iteration, instead of riding along in each task.
             assert ex.install_broadcasts > 0
@@ -599,9 +579,9 @@ def knob_matrix():
 
 
 def test_knob_matrix_bit_identical(knob_matrix):
-    """Every backend, with every optimisation on or off (including the FFT
-    pool disabled entirely), lands on the same bits."""
-    ref = knob_matrix["serial-off"]
+    """Every backend, and the serial run with the FFT pool disabled
+    entirely, lands on the same bits."""
+    ref = knob_matrix["serial"]
     for name, result in knob_matrix.items():
         np.testing.assert_array_equal(
             result.density, ref.density, err_msg=name

@@ -200,7 +200,7 @@ def test_pipeline_task_maps_match_division(tmp_path):
     from repro.core.scf import LS3DFSCF
 
     structure = cscl_binary((2, 1, 1), "Zn", "O", 6.0)
-    scf = LS3DFSCF(structure, grid_dims=(2, 1, 1), ecut=2.2, pipeline=True)
+    scf = LS3DFSCF(structure, grid_dims=(2, 1, 1), ecut=2.2)
     v_in = scf.genpot.initial_potential()
     for fragment in scf.fragments:
         ptask = scf.fragment_solver.make_pipeline_task(fragment, v_in)

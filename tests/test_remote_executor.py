@@ -28,6 +28,7 @@ import json
 import os
 import socket
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -261,6 +262,32 @@ def test_shutdown_workers_then_degrade_to_local():
         assert executor.degraded_tasks == 2
 
 
+def test_silent_worker_degrades_within_the_connect_budget():
+    """A peer that accepts connections but never answers the handshake
+    (e.g. a stopped worker whose listening socket lingers) costs at most
+    ``connect_timeout`` before the batch degrades to local — not a whole
+    ``request_timeout`` (60 s here)."""
+    silent = socket.socket()
+    silent.bind(("127.0.0.1", 0))
+    silent.listen(4)  # the kernel completes TCP handshakes; nobody replies
+    tasks = [_make_task(f"h{i}") for i in range(2)]
+    reference = [solve_fragment_task(t) for t in tasks]
+    executor = RemoteExecutor(
+        [silent.getsockname()], config=_config(max_retries=0, connect_timeout=0.5)
+    )
+    try:
+        t0 = time.perf_counter()
+        report = executor.run(tasks)
+        elapsed = time.perf_counter() - t0
+    finally:
+        executor.close()
+        silent.close()
+    _assert_results_equal(report.results, reference)
+    assert executor.workers_lost == 1
+    assert executor.degraded_tasks == 2
+    assert elapsed < 5.0
+
+
 def test_heartbeat_flags_dead_workers():
     with _cluster(2) as (executor, servers):
         assert executor.heartbeat() == 2
@@ -334,13 +361,13 @@ def remote_scf_runs():
     Module-scoped because the four tiny SCF runs dominate this file's
     cost; every run crosses real loopback TCP for every task.
     """
-    reference = _tiny_scf(SerialFragmentExecutor(), pipeline=True).run(**_RUN_KW)
+    reference = _tiny_scf(SerialFragmentExecutor()).run(**_RUN_KW)
     runs = {"reference": (reference, None)}
     servers = [start_worker_thread() for _ in range(2)]
     try:
         cases = [
-            ("pipeline", dict(pipeline=True)),
-            ("genpot", dict(pipeline=True, genpot_shards=2)),
+            ("pipeline", {}),
+            ("genpot", dict(genpot_shards=2)),
             ("bands", dict(band_groups=2)),
         ]
         for name, kw in cases:
@@ -539,7 +566,6 @@ def test_remote_subprocess_workers_match_golden_systems(name):
             n_empty=PROTOCOL["n_empty"],
             mixer=PROTOCOL["mixer"],
             executor=executor,
-            pipeline=True,
         )
 
     serial = build().run(**PROTOCOL["run"])

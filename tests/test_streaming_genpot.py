@@ -22,7 +22,6 @@ Covers the acceptance criteria of the streaming tentpole:
 """
 
 import contextlib
-import os
 
 import numpy as np
 import pytest
@@ -284,43 +283,38 @@ def _assert_runs_equal(got, want):
 
 @pytest.fixture(scope="module")
 def scf_reference():
-    """Synchronous sharded pipeline run (the PR 3 scheduling)."""
-    scf = _scf(
-        SerialFragmentExecutor(),
-        pipeline=True,
-        genpot_shards=4,
-        genpot_overlap=False,
-    )
+    """Synchronous sharded GENPOT run."""
+    scf = _scf(SerialFragmentExecutor(), genpot_shards=4, genpot_overlap=False)
     return scf.run(**_RUN_KW)
 
 
 def test_scf_streaming_bit_identical_serial(scf_reference):
-    scf = _scf(SerialFragmentExecutor(), pipeline=True, genpot_shards=4)
+    scf = _scf(SerialFragmentExecutor(), genpot_shards=4)
     result = scf.run(**_RUN_KW)
     _assert_runs_equal(result, scf_reference)
     t = result.timings[0]
-    assert t.overlap and t.genpot_overlap
+    assert t.genpot_overlap
     assert 0.0 <= t.overlap_occupancy <= 1.0
     assert t.layout_conversion > 0.0
-    # The synchronous reference recorded no overlap.
-    assert not scf_reference.timings[0].overlap
+    # The synchronous reference recorded no GENPOT overlap.
+    assert not scf_reference.timings[0].genpot_overlap
 
 
 def test_scf_streaming_bit_identical_threads(scf_reference):
     with ThreadPoolFragmentExecutor(n_workers=2) as executor:
-        result = _scf(executor, pipeline=True, genpot_shards=4).run(**_RUN_KW)
+        result = _scf(executor, genpot_shards=4).run(**_RUN_KW)
     _assert_runs_equal(result, scf_reference)
 
 
 def test_scf_streaming_bit_identical_process(scf_reference):
     with ProcessPoolFragmentExecutor(n_workers=2) as executor:
-        result = _scf(executor, pipeline=True, genpot_shards=4).run(**_RUN_KW)
+        result = _scf(executor, genpot_shards=4).run(**_RUN_KW)
     _assert_runs_equal(result, scf_reference)
 
 
 def test_scf_streaming_bit_identical_remote(scf_reference):
     with _cluster(2) as (executor, _):
-        result = _scf(executor, pipeline=True, genpot_shards=4).run(**_RUN_KW)
+        result = _scf(executor, genpot_shards=4).run(**_RUN_KW)
     _assert_runs_equal(result, scf_reference)
 
 

@@ -53,8 +53,8 @@ def main() -> int:
     args = parser.parse_args()
 
     from repro.atoms.toy import cscl_binary
-    from repro.core.fragment_task import solve_fragment_task
-    from repro.core.patching import patch_fragment_fields, restrict_to_fragment
+    from repro.core.fragment_task import run_fragment_pipeline_task
+    from repro.core.patching import patch_contributions
     from repro.core.scf import LS3DFSCF
 
     cells = tuple(args.cells)
@@ -73,32 +73,36 @@ def main() -> int:
     )
     v_in = scf.genpot.initial_potential()
 
-    # Gen_VF: restrict the global potential to every fragment box and
-    # build the picklable solve tasks (what the driver does per iteration).
+    # Gen_VF (driver side): build one fused pipeline task per fragment,
+    # as the SCF loop does every iteration.  The restriction itself runs
+    # inside each task and is profiled with PEtot_F.
     def gen_vf():
-        tasks = []
-        for fragment in scf.fragments:
-            restricted = restrict_to_fragment(scf.division, fragment, v_in)
-            tasks.append(
-                scf.fragment_solver.make_task(
-                    fragment, restricted,
-                    eigensolver_tolerance=1e-4, eigensolver_iterations=40,
-                )
+        return [
+            scf.fragment_solver.make_pipeline_task(
+                fragment, v_in,
+                eigensolver_tolerance=1e-4, eigensolver_iterations=40,
             )
-        return tasks
+            for fragment in scf.fragments
+        ]
 
     tasks = profile_stage("Gen_VF", gen_vf, args.top)
 
-    # PEtot_F: the per-fragment Kohn-Sham solves (the dominant stage).
+    # PEtot_F: the fused per-fragment tasks — restriction, Kohn-Sham solve
+    # (the dominant part) and weighted-interior extraction.
     def petot_f():
-        return [solve_fragment_task(t) for t in tasks]
+        return [run_fragment_pipeline_task(t) for t in tasks]
 
     results = profile_stage("PEtot_F", petot_f, args.top)
 
-    # Gen_dens: patch the weighted fragment densities into the global one.
+    # Gen_dens: chunked tree-reduce of the weighted fragment contributions.
     def gen_dens():
-        return patch_fragment_fields(
-            scf.division, scf.fragments, [r.density for r in results]
+        return patch_contributions(
+            scf.global_grid.shape,
+            (
+                (scf.division.global_indices(f, interior_only=True), p.contribution)
+                for f, p in zip(scf.fragments, results)
+            ),
+            chunk_size=scf.patch_chunk_size,
         )
 
     density = profile_stage("Gen_dens", gen_dens, args.top)
